@@ -27,9 +27,12 @@ vet:
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the parallel evaluation matrix, the simulator it drives, the torture
-# harness's parallel cell runner, and the recovery package it re-enters.
+# harness's parallel cell runner, the recovery package it re-enters, and
+# the serving path: the KV namespace, the store facade it locks, and the
+# ledger's concurrent KV and churn measurements.
 race:
-	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/torture/ ./internal/recovery/
+	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/torture/ ./internal/recovery/ \
+		./internal/kv/ ./internal/store/ ./internal/perf/
 
 # fuzz-short gives each native fuzz target a fixed small budget; crashes
 # land in testdata/fuzz/ as regression inputs.

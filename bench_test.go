@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"ccnvm"
+	"ccnvm/internal/engine"
+	"ccnvm/internal/kv"
+	"ccnvm/internal/store"
 )
 
 // figOptions keeps the per-iteration cost of the figure benchmarks
@@ -161,8 +164,11 @@ func BenchmarkSimThroughput(b *testing.B) {
 }
 
 // BenchmarkRecovery measures the four-step crash recovery over images
-// of growing footprint.
+// of growing footprint, and the crash-to-serving boot of a KV image:
+// store.Reboot (recover, apply, reopen) plus kv.Open (log scan and the
+// reclaim of the inactive half), the path a restarted daemon takes.
 func BenchmarkRecovery(b *testing.B) {
+	b.Run("boot", benchmarkBoot)
 	for _, n := range []int{20000, 60000} {
 		b.Run(fmt.Sprintf("ops=%d", n), func(b *testing.B) {
 			p, err := ccnvm.ProfileByName("lbm")
@@ -189,6 +195,62 @@ func BenchmarkRecovery(b *testing.B) {
 			b.ReportMetric(float64(img.Image.Store.Len()), "nvm_lines")
 		})
 	}
+}
+
+// bootKeys sizes the boot benchmark's image: this many 128 B values,
+// written as acknowledged 4-put batches before the power fails.
+const bootKeys = 20000
+
+// benchmarkBoot boots a fixed-size KV crash image to a serving kv.DB.
+// Each iteration recovers its own copy of the image; the copy is a
+// copy-on-write clone, so it costs a few map headers, not the image.
+func benchmarkBoot(b *testing.B) {
+	opts := store.Options{
+		Design:   "ccnvm",
+		Capacity: 64 << 20,
+		Params:   engine.Params{UpdateLimit: 16, QueueEntries: 64},
+	}
+	st, err := store.Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := kv.Open(st, kv.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := make([]byte, 128)
+	for i := 0; i < bootKeys; i += 4 {
+		ops := make([]kv.Op, 4)
+		for j := range ops {
+			val[0], val[1] = byte(i+j), byte((i+j)>>8)
+			ops[j] = kv.Op{Kind: kv.OpPut, Key: []byte(fmt.Sprintf("key-%06d", i+j)), Val: append([]byte(nil), val...)}
+		}
+		if err := db.Batch(ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+	img := db.Crash()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cp := *img
+		cp.Image = img.Image.Clone()
+		cp.TCB = img.TCB.CloneExt()
+		st, _, err := store.Reboot(&cp, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		db, err := kv.Open(st, kv.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := db.Stats().Keys; got != bootKeys {
+			b.Fatalf("booted namespace holds %d keys, want %d", got, bootKeys)
+		}
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(img.Image.Store.Len()), "nvm_lines")
 }
 
 // BenchmarkRecoveryMatrix regenerates the §4.4 capability table: every

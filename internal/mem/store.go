@@ -1,7 +1,7 @@
 package mem
 
 import (
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -160,7 +160,29 @@ func (s *Store) Addrs() []Addr {
 			out = append(out, a)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	return out
+}
+
+// AddrsIn returns, in ascending order, the written line addresses a with
+// Align(lo) <= a < hi: Addrs() restricted to the range, nil when the
+// range holds none (hi <= Align(lo) included). It filters before
+// sorting, so enumerating a small range of a large image costs one pass
+// over the line maps plus a sort of the range alone.
+func (s *Store) AddrsIn(lo, hi Addr) []Addr {
+	lo = Align(lo)
+	if lo >= hi {
+		return nil
+	}
+	var out []Addr
+	for i := range s.shards {
+		for a := range s.shards[i].lines {
+			if a >= lo && a < hi {
+				out = append(out, a)
+			}
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 

@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestStoreCloneCOWIsolation exercises the copy-on-write sharing in
 // both directions: writes, deletes and overwrites on either side of a
@@ -118,5 +121,59 @@ func TestStoreDeleteAbsentKeepsSharing(t *testing.T) {
 	}
 	if got, _ := c.Read(0); got[0] != 5 {
 		t.Fatal("no-op delete corrupted shard contents")
+	}
+}
+
+// TestStoreAddrsInMatchesFilteredAddrs pins the range enumeration to
+// its definition: the ascending written lines overlapping [lo, hi), i.e.
+// Addrs() filtered to Align(lo) <= a < hi. The stores under test share
+// shards through a copy-on-write Clone and have diverged on both sides.
+func TestStoreAddrsInMatchesFilteredAddrs(t *testing.T) {
+	var src Store
+	var l Line
+	for a := Addr(0); a < 300*LineSize; a += 3 * LineSize {
+		l[0] = byte(a / LineSize)
+		src.Write(a, l)
+	}
+	src.Write(1<<20, l)
+	clone := src.Clone()
+	src.Delete(3 * LineSize)
+	src.Write(1000*LineSize, l)
+	clone.Delete(6 * LineSize)
+	clone.Write(7*LineSize, l)
+
+	const capacity = Addr(2 << 20)
+	cases := []struct {
+		name   string
+		lo, hi Addr
+	}{
+		{"whole", 0, capacity},
+		{"aligned window", 30 * LineSize, 90 * LineSize},
+		{"unaligned lo", 30*LineSize + 17, 90 * LineSize},
+		{"unaligned hi", 30 * LineSize, 90*LineSize + 5},
+		{"hi past capacity", 200 * LineSize, ^Addr(0)},
+		{"empty", 60 * LineSize, 60 * LineSize},
+		{"inverted", 90 * LineSize, 30 * LineSize},
+		{"unaligned lo in hi's line", 60*LineSize + 1, 60*LineSize + 2},
+		{"no written lines", 1 << 19, 1 << 20},
+	}
+	for _, st := range []struct {
+		name string
+		s    *Store
+	}{{"source", &src}, {"clone", clone}} {
+		for _, c := range cases {
+			t.Run(st.name+"/"+c.name, func(t *testing.T) {
+				var want []Addr
+				for _, a := range st.s.Addrs() {
+					if a >= Align(c.lo) && a < c.hi {
+						want = append(want, a)
+					}
+				}
+				got := st.s.AddrsIn(c.lo, c.hi)
+				if !slices.Equal(got, want) {
+					t.Fatalf("AddrsIn(%#x, %#x) = %v, want %v", uint64(c.lo), uint64(c.hi), got, want)
+				}
+			})
+		}
 	}
 }

@@ -127,6 +127,11 @@ func (d *Device) Read(a mem.Addr) (mem.Line, bool) {
 // Peek reads without counting an access; recovery and tests use it.
 func (d *Device) Peek(a mem.Addr) (mem.Line, bool) { return d.store.Read(a) }
 
+// AddrsIn lists the written lines in [Align(lo), hi) in ascending order
+// (mem.Store.AddrsIn). Unlike enumerating a Snapshot it leaves the line
+// maps unshared, so the writes that follow do not re-copy them.
+func (d *Device) AddrsIn(lo, hi mem.Addr) []mem.Addr { return d.store.AddrsIn(lo, hi) }
+
 // Write persists line l at a, counting the write against its region and
 // the line's wear counter. Writing heals a stuck line (the device remaps
 // it to a spare). An out-of-range address returns *AddrRangeError.

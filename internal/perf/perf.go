@@ -205,11 +205,12 @@ func Compare(pinned, fresh *Ledger) error {
 		}
 	} else {
 		// Cross-host: compare per-design throughput normalized by the
-		// run's geometric mean.
+		// run's geometric mean. The values are ratios, not ops/sec.
 		pn, fn := normalize(pinned), normalize(fresh)
 		for d, p := range pn {
-			if f, ok := fn[d]; ok {
-				check(d+" (relative)", p, f)
+			if f, ok := fn[d]; ok && p > 0 && f < p*(1-Tolerance) {
+				regressions = append(regressions,
+					fmt.Sprintf("%s (relative): %.3f -> %.3f x geomean (-%.1f%%)", d, p, f, 100*(1-f/p)))
 			}
 		}
 	}

@@ -48,6 +48,25 @@ func TestCompareCrossHost(t *testing.T) {
 	}
 }
 
+// TestCompareCrossHostMessage pins the relative gate's wording: the
+// normalised values are ratios to the run's geometric mean, printed with
+// three decimals and labelled as such, never as ops/sec.
+func TestCompareCrossHostMessage(t *testing.T) {
+	pinned := ledger(1000, map[string]float64{"a": 1000, "b": 1000})
+	pinned.CPUs++
+	err := Compare(pinned, ledger(10000, map[string]float64{"a": 2000, "b": 20000}))
+	if err == nil {
+		t.Fatal("relative collapse must fail")
+	}
+	const want = "a (relative): 1.000 -> 0.316 x geomean (-68.4%)"
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("message %q lacks %q", err, want)
+	}
+	if strings.Contains(err.Error(), "ops/sec") {
+		t.Fatalf("relative message %q mislabels ratios as ops/sec", err)
+	}
+}
+
 func TestCompareSchemaMismatch(t *testing.T) {
 	pinned := ledger(1000, nil)
 	pinned.Schema = Schema + 1

@@ -261,13 +261,7 @@ func resumeRecover(img *engine.CrashImage, rec journalRecord) *Report {
 	if rec.PendingValid {
 		pend = &pendingWrite{addr: rec.PendingAddr, line: rec.PendingLine}
 	}
-	d := design.ForImage(img.Design)
-	var res counterResult
-	if d.Strategy == design.RecoverInlinePacked {
-		res = recoverInlineCounters(img, cry, pend)
-	} else {
-		res = recoverCounters(img, cry, pend)
-	}
+	res := walkCounters(img, cry, listImage(img), pend)
 	r.res = &res
 
 	r.ConsistentRoot = rec.ConsistentRoot
@@ -296,6 +290,7 @@ func recoverGenericImage(img *engine.CrashImage, d design.Descriptor) *Report {
 	lay := img.Image.Layout
 	tree := bmt.New(lay, cry)
 	sus := suspectSet(img)
+	addrs := listImage(img)
 
 	// Step 1: locate replay attacks via the consistent NVM tree. Designs
 	// that do not persist their tree (Osiris) have nothing to check.
@@ -304,11 +299,11 @@ func recoverGenericImage(img *engine.CrashImage, d design.Descriptor) *Report {
 	// link) are crash damage: the step-4 rebuild heals them, and only the
 	// unexplained remainder is reported as an attack.
 	if d.Caps.TreePersisted {
-		addrs := img.Image.Store.Addrs()
 		rd := imageReader{img.Image}
-		if bad := tree.VerifyAllParallel(rd, img.TCB.RootOld, addrs, img.Workers); len(bad) == 0 {
+		nodes := addrs.treeChecked()
+		if bad := tree.VerifyAllParallel(rd, img.TCB.RootOld, nodes, img.Workers); len(bad) == 0 {
 			r.ConsistentRoot = "old"
-		} else if bad2 := tree.VerifyAllParallel(rd, img.TCB.RootNew, addrs, img.Workers); len(bad2) == 0 {
+		} else if bad2 := tree.VerifyAllParallel(rd, img.TCB.RootNew, nodes, img.Workers); len(bad2) == 0 {
 			// Crash between the end signal and the ROOTold update: ADR
 			// completed the drain, so the tree matches ROOTnew.
 			r.ConsistentRoot = "new"
@@ -328,7 +323,7 @@ func recoverGenericImage(img *engine.CrashImage, d design.Descriptor) *Report {
 	}
 
 	// Step 2: recover stalled counters via data HMAC retries.
-	res := recoverCounters(img, cry, nil)
+	res := recoverCounters(img, cry, addrs, nil)
 	r.res = &res
 	r.Nretry = res.nretry
 	r.RecoveredBlocks = res.blocks
@@ -406,8 +401,7 @@ func recoverGenericImage(img *engine.CrashImage, d design.Descriptor) *Report {
 
 	// Step 4: rebuild the Merkle tree from the recovered counters.
 	overlay := overlayReader{base: imageReader{img.Image}, lines: encodeLines(res.lines)}
-	counterAddrs := collectCounterAddrs(lay, img.Image.Store, res.lines)
-	_, rebuilt := tree.RebuildParallel(overlay, counterAddrs, img.Workers)
+	_, rebuilt := tree.RebuildParallel(overlay, addrs.counterLines(res.lines), img.Workers)
 	r.RebuiltRoot = rebuilt
 
 	// Root-compare designs validate the rebuilt root against ROOTnew: a
@@ -595,30 +589,18 @@ func ApplyInterrupted(img *engine.CrashImage, rep *Report, itr *Interrupt) (Reco
 	}
 	res := rep.res
 	if res == nil {
-		var walk counterResult
-		if design.ForImage(img.Design).Strategy == design.RecoverInlinePacked {
-			walk = recoverInlineCounters(img, cry, pend)
-		} else {
-			walk = recoverCounters(img, cry, pend)
-		}
+		walk := walkCounters(img, cry, listImage(img), pend)
 		res = &walk
 	}
 
 	// Rebuild from the recovered counters plus the journaled pending
 	// line: its in-place copy may be torn, the journal copy is whole.
 	overlay := encodeLines(res.lines)
-	counterAddrs := collectCounterAddrs(lay, img.Image.Store, res.lines)
+	counterAddrs := res.addrs.counterLines(res.lines)
 	if pend != nil {
 		if _, dup := overlay[pend.addr]; !dup {
 			overlay[pend.addr] = pend.line
-			found := false
-			for _, ca := range counterAddrs {
-				if ca == pend.addr {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !res.addrs.holds(pend.addr) {
 				counterAddrs = append(counterAddrs, pend.addr)
 			}
 		}
@@ -654,10 +636,7 @@ func ApplyInterrupted(img *engine.CrashImage, rep *Report, itr *Interrupt) (Reco
 	for _, a := range sortedNodeKeys(nodes) {
 		add(a, nodes[a], false)
 	}
-	for _, a := range img.Image.Store.Addrs() {
-		if lay.RegionOf(a) != mem.RegionTree {
-			continue
-		}
+	for _, a := range res.addrs.tree {
 		if _, covered := nodes[a]; !covered {
 			lv, _ := lay.NodeAt(a)
 			add(a, tree.DefaultNode(lv), false)
@@ -769,6 +748,97 @@ type counterResult struct {
 	lost       []LostBlock                        // HMAC never matched, media-attributable
 	perLine    map[mem.Addr]uint64                // per-counter-line retry totals (§4.4 extension)
 	implicated map[mem.Addr]bool                  // suspect/stuck lines tied to a loss
+
+	// addrs is the image enumeration the walk ran over; Apply reuses it
+	// for the rebuild set and the stale-node sweep.
+	addrs imageAddrs
+}
+
+// imageAddrs is one ascending enumeration of a crash image's written
+// lines, taken once per recovery pass and split by region. The regions
+// are contiguous in physical order (data, counters, HMACs, tree), so
+// each split is a capacity-capped subslice of the one enumeration.
+type imageAddrs struct {
+	data    []mem.Addr
+	counter []mem.Addr
+	tree    []mem.Addr
+}
+
+// listImage enumerates the image's written lines once. Every later step
+// of the pass reads the split it needs instead of re-listing the store.
+func listImage(img *engine.CrashImage) imageAddrs {
+	lay := img.Image.Layout
+	all := img.Image.Store.Addrs()
+	at := func(a mem.Addr) int {
+		i, _ := slices.BinarySearch(all, a)
+		return i
+	}
+	counterAt, hmacAt := at(lay.CounterBase), at(lay.HMACBase)
+	treeAt, endAt := at(lay.TreeBase), at(mem.Addr(lay.TotalBytes()))
+	return imageAddrs{
+		data:    all[:counterAt:counterAt],
+		counter: all[counterAt:hmacAt:hmacAt],
+		tree:    all[treeAt:endAt:endAt],
+	}
+}
+
+// treeChecked lists the lines step 1 verifies — counter lines, then tree
+// nodes — in the same relative order as the full enumeration, so the
+// mismatch list is the one a walk over every line would report.
+func (ia imageAddrs) treeChecked() []mem.Addr {
+	return slices.Concat(ia.counter, ia.tree)
+}
+
+// holds reports whether counter line ca is present in the enumeration.
+func (ia imageAddrs) holds(ca mem.Addr) bool {
+	_, ok := slices.BinarySearch(ia.counter, ca)
+	return ok
+}
+
+// counterLines lists every counter line that exists in the image or was
+// recovered; Rebuild needs the complete set.
+func (ia imageAddrs) counterLines(recovered map[mem.Addr]seccrypto.CounterLine) []mem.Addr {
+	out := slices.Clone(ia.counter)
+	for ca := range recovered {
+		if !ia.holds(ca) {
+			out = append(out, ca)
+		}
+	}
+	return out
+}
+
+// walkCounters runs the step-2 walk the image's design declares.
+func walkCounters(img *engine.CrashImage, cry *seccrypto.Engine, addrs imageAddrs, pend *pendingWrite) counterResult {
+	if design.ForImage(img.Design).Strategy == design.RecoverInlinePacked {
+		return recoverInlineCounters(img, cry, addrs, pend)
+	}
+	return recoverCounters(img, cry, addrs, pend)
+}
+
+// runLine caches the decoded counter line of the current run of data
+// blocks: the walk is ascending, so the blocks of one page — which share
+// a counter line — arrive consecutively and the line is decoded once per
+// run instead of once per block. A line the walk already advanced is
+// taken from res.lines, never re-decoded from the image.
+type runLine struct {
+	addr  mem.Addr
+	line  seccrypto.CounterLine
+	valid bool
+}
+
+// at returns the run's counter line for ca, loading it when the run
+// changes. Callers mutate it in place and store it into res.lines.
+func (r *runLine) at(img *engine.CrashImage, pend *pendingWrite, res *counterResult, ca mem.Addr) *seccrypto.CounterLine {
+	if !r.valid || r.addr != ca {
+		if cl, ok := res.lines[ca]; ok {
+			r.line = cl
+		} else {
+			raw, _ := readLine(img, pend, ca)
+			r.line = seccrypto.DecodeCounterLine(raw)
+		}
+		r.addr, r.valid = ca, true
+	}
+	return &r.line
 }
 
 // recoverCounters walks every data block in the image, recovering its
@@ -779,16 +849,18 @@ type counterResult struct {
 // counter or HMAC content left by the partial ADR drain. pend, set when
 // resuming an interrupted Apply, shadows the one counter line whose
 // in-place write may be torn with its journaled copy.
-func recoverCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendingWrite) counterResult {
+func recoverCounters(img *engine.CrashImage, cry *seccrypto.Engine, addrs imageAddrs, pend *pendingWrite) counterResult {
 	lay := img.Image.Layout
 	res := counterResult{
 		lines:      map[mem.Addr]seccrypto.CounterLine{},
 		perLine:    map[mem.Addr]uint64{},
 		implicated: map[mem.Addr]bool{},
+		addrs:      addrs,
 	}
 	sus := suspectSet(img)
 	stuck := img.Image.Stuck
-	for _, a := range dataWalkAddrs(img, sus) {
+	var run runLine
+	for _, a := range dataWalkAddrs(img, addrs, sus) {
 		ca := lay.CounterLineOf(a)
 		ha, _ := lay.HMACLineOf(a)
 		if img.MediaFaults {
@@ -800,11 +872,7 @@ func recoverCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendin
 		}
 		ct, _ := img.Image.Read(a)
 		stored := storedHMAC(img, cry, a)
-		cl, ok := res.lines[ca]
-		if !ok {
-			raw, _ := readLine(img, pend, ca)
-			cl = seccrypto.DecodeCounterLine(raw)
-		}
+		cl := run.at(img, pend, &res, ca)
 		slot := lay.CounterSlotOf(a)
 		base := cl.Counter(slot)
 		found := false
@@ -822,7 +890,7 @@ func recoverCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendin
 				res.perLine[ca] += retry
 				res.blocks++
 				cl.Minors[slot] += uint8(retry)
-				res.lines[ca] = cl
+				res.lines[ca] = *cl
 			}
 			found = true
 			break
@@ -853,33 +921,26 @@ func recoverCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendin
 }
 
 // dataWalkAddrs lists the data blocks the counter-recovery walk must
-// visit: every data line in the store plus, under a fault model, every
-// suspect data line absent from it — a dropped first write leaves no
-// stored line, but its block may still carry non-virgin counter or HMAC
-// evidence that must be classified as loss, not skipped.
-func dataWalkAddrs(img *engine.CrashImage, sus map[mem.Addr]bool) []mem.Addr {
+// visit, ascending: every data line in the image plus, under a fault
+// model, every suspect data line absent from it — a dropped first write
+// leaves no stored line, but its block may still carry non-virgin
+// counter or HMAC evidence that must be classified as loss, not skipped.
+func dataWalkAddrs(img *engine.CrashImage, addrs imageAddrs, sus map[mem.Addr]bool) []mem.Addr {
 	lay := img.Image.Layout
-	var out []mem.Addr
-	seen := map[mem.Addr]bool{}
-	for _, a := range img.Image.Store.Addrs() {
-		if lay.RegionOf(a) == mem.RegionData {
-			out = append(out, a)
-			seen[a] = true
-		}
-	}
-	if !img.MediaFaults {
-		return out
-	}
-	extra := false
+	var extra []mem.Addr
 	for s := range sus {
-		if lay.RegionOf(s) == mem.RegionData && !seen[s] {
-			out = append(out, s)
-			extra = true
+		if lay.RegionOf(s) != mem.RegionData {
+			continue
+		}
+		if _, stored := slices.BinarySearch(addrs.data, s); !stored {
+			extra = append(extra, s)
 		}
 	}
-	if extra {
-		slices.Sort(out)
+	if len(extra) == 0 {
+		return addrs.data
 	}
+	out := slices.Concat(addrs.data, extra)
+	slices.Sort(out)
 	return out
 }
 
@@ -912,25 +973,6 @@ func storedHMAC(img *engine.CrashImage, cry *seccrypto.Engine, a mem.Addr) seccr
 		}
 	}
 	return seccrypto.GetHMAC(hl, hslot)
-}
-
-// collectCounterAddrs lists every counter line that exists in the store
-// or was recovered; Rebuild needs the complete set.
-func collectCounterAddrs(lay *mem.Layout, st *mem.Store, recovered map[mem.Addr]seccrypto.CounterLine) []mem.Addr {
-	seen := map[mem.Addr]bool{}
-	var out []mem.Addr
-	for _, a := range st.Addrs() {
-		if lay.RegionOf(a) == mem.RegionCounter {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	for ca := range recovered {
-		if !seen[ca] {
-			out = append(out, ca)
-		}
-	}
-	return out
 }
 
 // imageReader adapts an nvm.Image to bmt.Reader: reads go through the
@@ -979,8 +1021,9 @@ func recoverInlinePackedImage(img *engine.CrashImage) *Report {
 	lay := img.Image.Layout
 	tree := bmt.New(lay, cry)
 	sus := suspectSet(img)
+	addrs := listImage(img)
 
-	res := recoverInlineCounters(img, cry, nil)
+	res := recoverInlineCounters(img, cry, addrs, nil)
 	r.res = &res
 	r.Tampered = res.tampered
 	r.LostBlocks = res.lost
@@ -994,8 +1037,7 @@ func recoverInlinePackedImage(img *engine.CrashImage) *Report {
 	}
 
 	overlay := overlayReader{base: imageReader{img.Image}, lines: encodeLines(res.lines)}
-	counterAddrs := collectCounterAddrs(lay, img.Image.Store, res.lines)
-	_, rebuilt := tree.RebuildParallel(overlay, counterAddrs, img.Workers)
+	_, rebuilt := tree.RebuildParallel(overlay, addrs.counterLines(res.lines), img.Workers)
 	r.RebuiltRoot = rebuilt
 	if rebuilt != img.TCB.RootNew && len(r.Tampered) == 0 {
 		if img.MediaFaults && (len(sus) > 0 || len(r.LostBlocks) > 0) {
@@ -1015,23 +1057,18 @@ func recoverInlinePackedImage(img *engine.CrashImage) *Report {
 // res.lines so Apply persists them and the tree rebuild covers them,
 // exactly like the generic walk's retried lines. pend is the resume
 // overlay, as in recoverCounters.
-func recoverInlineCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendingWrite) counterResult {
+func recoverInlineCounters(img *engine.CrashImage, cry *seccrypto.Engine, addrs imageAddrs, pend *pendingWrite) counterResult {
 	lay := img.Image.Layout
 	res := counterResult{
 		lines:      map[mem.Addr]seccrypto.CounterLine{},
 		perLine:    map[mem.Addr]uint64{},
 		implicated: map[mem.Addr]bool{},
+		addrs:      addrs,
 	}
 	sus := suspectSet(img)
 	stuck := img.Image.Stuck
-	lineOf := func(ca mem.Addr) seccrypto.CounterLine {
-		if cl, ok := res.lines[ca]; ok {
-			return cl
-		}
-		raw, _ := readLine(img, pend, ca)
-		return seccrypto.DecodeCounterLine(raw)
-	}
-	for _, a := range dataWalkAddrs(img, sus) {
+	var run runLine
+	for _, a := range dataWalkAddrs(img, addrs, sus) {
 		ca := lay.CounterLineOf(a)
 		slot := lay.CounterSlotOf(a)
 		line, _ := img.Image.Read(a)
@@ -1053,10 +1090,10 @@ func recoverInlineCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *
 				res.tampered = append(res.tampered, TamperedBlock{Addr: a})
 				continue
 			}
-			cl := lineOf(ca)
+			cl := run.at(img, pend, &res, ca)
 			cl.Major = ctr >> seccrypto.MinorBits
 			cl.Minors[slot] = uint8(ctr & seccrypto.MinorMax)
-			res.lines[ca] = cl
+			res.lines[ca] = *cl
 			res.blocks++
 		} else {
 			ha, _ := lay.HMACLineOf(a)
@@ -1067,8 +1104,7 @@ func recoverInlineCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *
 					continue
 				}
 			}
-			cl := lineOf(ca)
-			base := cl.Counter(slot)
+			base := run.at(img, pend, &res, ca).Counter(slot)
 			stored := storedHMAC(img, cry, a)
 			if cry.DataHMAC(a, base, line) != stored {
 				if img.MediaFaults && (sus[a] || sus[ca] || sus[ha]) {

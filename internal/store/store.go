@@ -30,7 +30,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"ccnvm/internal/design"
@@ -355,14 +354,9 @@ func (s *Store) ReclaimRange(lo, hi mem.Addr) (int, error) {
 	if hi > mem.Addr(s.lay.DataBytes) {
 		hi = mem.Addr(s.lay.DataBytes)
 	}
-	addrs := s.dev.Snapshot().Store.Addrs()
-	slices.Sort(addrs)
 	var zero mem.Line
 	reclaimed := 0
-	for _, a := range addrs {
-		if a < mem.Align(lo) || a >= hi || s.lay.RegionOf(a) != mem.RegionData {
-			continue
-		}
+	for _, a := range s.dev.AddrsIn(lo, hi) {
 		// The media holds ciphertext, so "already zero" must be judged on
 		// the decrypted content — an encrypted zero line is not the zero
 		// ciphertext, and re-zeroing it would make reclaim non-idempotent
