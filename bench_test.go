@@ -12,6 +12,7 @@ import (
 	"ccnvm"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/kv"
+	"ccnvm/internal/mem"
 	"ccnvm/internal/store"
 )
 
@@ -161,6 +162,43 @@ func BenchmarkSimThroughput(b *testing.B) {
 			b.ReportMetric(r.Sec.MemoHitRatio(), "memohit")
 		})
 	}
+}
+
+// BenchmarkReadBlock reports the cost of one verified store.Read, split
+// by whether the block was ever written: a never-written block is
+// checked against the default slot of its never-written HMAC line, a
+// written one against the HMAC line in NVM. Reads cycle over readLines
+// blocks, each never-written one under its own HMAC line, so neither
+// case is served from a warm memo.
+func BenchmarkReadBlock(b *testing.B) {
+	const readLines = 1 << 14
+	opts := store.Options{Design: "ccnvm", Capacity: 64 << 20}
+	run := func(b *testing.B, stride mem.Addr, write bool) {
+		st, err := store.Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if write {
+			var l mem.Line
+			for i := 0; i < readLines; i++ {
+				l[0], l[1], l[63] = byte(i), byte(i>>8), 0xa5
+				if err := st.Write(mem.Addr(i)*stride, l); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := st.FlushEpoch(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := st.Read(mem.Addr(i%readLines) * stride); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("never-written", func(b *testing.B) { run(b, mem.LineSize*mem.HMACsPerLine, false) })
+	b.Run("written", func(b *testing.B) { run(b, mem.LineSize, true) })
 }
 
 // BenchmarkRecovery measures the four-step crash recovery over images

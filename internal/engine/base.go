@@ -53,11 +53,6 @@ type Base struct {
 	// (TakePendingEvicts, RequeueEvicts).
 	pendingIdx map[mem.Addr]int
 
-	// defLines memoizes synthesized default data-HMAC lines (four SHA-1
-	// HMACs each), which profiling shows dominate read-path time on
-	// sparse images. Direct-mapped and bounded, like the seccrypto memos.
-	defLines []defLineSlot
-
 	// OnViolation, when set, observes runtime integrity failures with a
 	// short site tag; tests use it to pinpoint verification bugs.
 	OnViolation func(site string, a mem.Addr, level int)
@@ -84,7 +79,6 @@ func (b *Base) InitBase(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Cont
 	b.P = p
 	b.VerifyFetchedMeta = true
 	b.wbSlots = make([]int64, p.WritebackBuffer)
-	b.defLines = make([]defLineSlot, defLineSlots)
 	b.Meta = metacache.New(metaCfg, func(a mem.Addr, l mem.Line, dirty bool) {
 		if dirty {
 			b.pendingEvicts = append(b.pendingEvicts, EvictRec{Addr: a, Line: l})
@@ -235,61 +229,27 @@ func (b *Base) AcquireWBSlot(now int64) (int, int64) {
 // ReleaseWBSlot marks slot busy until done.
 func (b *Base) ReleaseWBSlot(slot int, done int64) { b.wbSlots[slot] = done }
 
-// defLineSlots bounds the default-HMAC-line memo (power of two;
-// 1024 x ~80 B = ~80 KB).
-const defLineSlots = 1024
-
-// defLineSlot memoizes one synthesized default data-HMAC line.
-type defLineSlot struct {
-	ha   mem.Addr
-	live bool
-	line mem.Line
-}
-
 // DefaultHMACLine synthesizes the content of a never-written data-HMAC
 // line: each slot holds the HMAC of a zero ciphertext with counter 0 at
 // the slot's data address, which is exactly what verification of a
-// never-written block expects. The content is a pure function of the
-// keys and ha, so it is served from a bounded direct-mapped memo —
-// sparse-image read paths otherwise recompute four SHA-1 HMACs per
-// never-written line touched.
+// never-written block expects. Only the write paths need the whole
+// line (they read-modify-write one slot of it); the read path checks
+// against a single default slot without building the line.
 func (b *Base) DefaultHMACLine(ha mem.Addr) mem.Line {
-	var slot *defLineSlot
-	if b.defLines != nil {
-		slot = &b.defLines[mem.Mix64(uint64(ha))&(defLineSlots-1)]
-		if slot.live && slot.ha == ha {
-			b.stats.DefaultLineHits++
-			return slot.line
-		}
-		b.stats.DefaultLineMisses++
-	}
 	var l mem.Line
 	lineIdx := uint64(ha-b.Lay.HMACBase) / mem.LineSize
 	for s := 0; s < mem.HMACsPerLine; s++ {
 		dataAddr := mem.Addr((lineIdx*mem.HMACsPerLine + uint64(s)) * mem.LineSize)
 		seccrypto.PutHMAC(&l, s, b.Cry.DataHMAC(dataAddr, 0, mem.Line{}))
 	}
-	if slot != nil {
-		slot.ha, slot.line, slot.live = ha, l, true
-	}
 	return l
 }
 
-// ReadHMACLine fetches the data-HMAC line covering addr, substituting
-// the synthesized default when never written. The core-facing read path
-// uses it; bank contention applies.
-func (b *Base) ReadHMACLine(now int64, addr mem.Addr) (mem.Line, int, int64) {
-	ha, slot := b.Lay.HMACLineOf(addr)
-	l, ok, t := b.Ctrl.Read(now, ha)
-	if !ok {
-		l = b.DefaultHMACLine(ha)
-	}
-	return l, slot, t
-}
-
-// readHMACLineBypass is ReadHMACLine for pipeline-internal callers (the
-// write path's read-modify-write and page re-encryption), which run at
-// future timestamps and must not reserve bank slots there.
+// readHMACLineBypass fetches the data-HMAC line covering addr for
+// pipeline-internal callers (the write path's read-modify-write and page
+// re-encryption), substituting the synthesized default when never
+// written. They run at future timestamps, so the read must not reserve
+// bank slots there.
 func (b *Base) readHMACLineBypass(now int64, addr mem.Addr) (mem.Line, int, int64) {
 	ha, slot := b.Lay.HMACLineOf(addr)
 	l, ok, t := b.Ctrl.ReadBypass(now, ha)
@@ -448,14 +408,29 @@ func (b *Base) readBlockChecked(now int64, addr mem.Addr) (mem.Line, int64, bool
 	addr = mem.Align(addr)
 	b.stats.Reads++
 	ct, _, tData := b.Ctrl.Read(now, addr)
-	hline, hslot, tH := b.ReadHMACLine(now, addr)
+	ha, hslot := b.Lay.HMACLineOf(addr)
+	hline, written, tH := b.Ctrl.Read(now, ha)
 	ca := b.Lay.CounterLineOf(addr)
 	cl, tCtr := b.counterFn(now, ca)
 	slot := b.Lay.CounterSlotOf(addr)
 	ctr := cl.Counter(slot)
 
-	stored := seccrypto.GetHMAC(hline, hslot)
-	okAuth := b.Cry.DataHMAC(addr, ctr, ct) == stored
+	// Only the slot this block is checked against is fetched. A
+	// never-written HMAC line stores DataHMAC(addr, 0, zero) in that
+	// slot by definition (DefaultHMACLine); when the block itself reads
+	// as counter 0 over a zero line, both sides of the comparison are
+	// that same HMAC application, so it holds without hashing — the
+	// elision Encrypt makes for counter 0. The modeled HMAC charge below
+	// is unchanged either way.
+	var okAuth bool
+	switch {
+	case written:
+		okAuth = b.Cry.DataHMAC(addr, ctr, ct) == seccrypto.GetHMAC(hline, hslot)
+	case ctr == 0 && ct == (mem.Line{}):
+		okAuth = true
+	default:
+		okAuth = b.Cry.DataHMAC(addr, ctr, ct) == b.Cry.DataHMAC(addr, 0, mem.Line{})
+	}
 
 	tOTP := b.AESOp(tCtr)
 	tVer := b.HMACOp(max(max(tData, tCtr), tH), 1)

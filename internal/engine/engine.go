@@ -187,21 +187,20 @@ type SecStats struct {
 	WritebackStallCycles  int64
 
 	// Memoization counters for the simulator's own hot-path caches (the
-	// OTP pad cache, the data/node HMAC memos and the default-HMAC-line
-	// memo). These are observational: modeled cycle counts come from the
-	// timing model (HMACOps/AESOps above), so memo hits never change
-	// results — see DESIGN.md, "Simulator performance".
-	PadCacheHits, PadCacheMisses       uint64
-	DataMemoHits, DataMemoMisses       uint64
-	NodeMemoHits, NodeMemoMisses       uint64
-	DefaultLineHits, DefaultLineMisses uint64
+	// OTP pad cache and the data/node HMAC memos). These are
+	// observational: modeled cycle counts come from the timing model
+	// (HMACOps/AESOps above), so memo hits never change results — see
+	// DESIGN.md, "Simulator performance".
+	PadCacheHits, PadCacheMisses uint64
+	DataMemoHits, DataMemoMisses uint64
+	NodeMemoHits, NodeMemoMisses uint64
 }
 
 // MemoHitRatio reports the combined hit ratio of all memo tables; the
 // bench harness tracks it across PRs.
 func (s SecStats) MemoHitRatio() float64 {
-	hits := s.PadCacheHits + s.DataMemoHits + s.NodeMemoHits + s.DefaultLineHits
-	total := hits + s.PadCacheMisses + s.DataMemoMisses + s.NodeMemoMisses + s.DefaultLineMisses
+	hits := s.PadCacheHits + s.DataMemoHits + s.NodeMemoHits
+	total := hits + s.PadCacheMisses + s.DataMemoMisses + s.NodeMemoMisses
 	if total == 0 {
 		return 0
 	}

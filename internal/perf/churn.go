@@ -62,6 +62,16 @@ type ChurnPerf struct {
 	StallSeconds float64 `json:"stall_seconds"` // ladder-charged stall time
 }
 
+// shape is the run shape the regression gate requires to match before
+// it compares two churn rows; "" for a ledger without the row.
+func (p *ChurnPerf) shape() string {
+	if p == nil {
+		return ""
+	}
+	return fmt.Sprintf("design=%s capacity=%d val=%d keys=%d multiple=%d",
+		p.Design, p.Capacity, p.ValBytes, p.Keys, p.Multiple)
+}
+
 // MeasureChurn overwrites a small hot set in-process until Multiple
 // log-halves of framed traffic have been appended. Because the hot set
 // is tiny and the arena is small, every capacity's worth of writes

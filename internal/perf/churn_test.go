@@ -35,11 +35,15 @@ func TestMeasureChurn(t *testing.T) {
 		return l
 	}
 	pinned, slow := mk(1000), mk(100)
-	if err := Compare(pinned, slow); err == nil || !strings.Contains(err.Error(), "churn") {
+	if _, err := Compare(pinned, slow); err == nil || !strings.Contains(err.Error(), "churn") {
 		t.Fatalf("90%% churn regression not flagged: %v", err)
 	}
 	slow.Churn.Multiple++ // shape mismatch: the gate must stand down
-	if err := Compare(pinned, slow); err != nil {
+	skipped, err := Compare(pinned, slow)
+	if err != nil {
 		t.Fatalf("shape-mismatched churn rows compared anyway: %v", err)
+	}
+	if len(skipped) != 1 || skipped[0].Row != "churn" || !strings.Contains(skipped[0].Reason, "shape") {
+		t.Fatalf("shape-mismatched churn row not reported as skipped: %v", skipped)
 	}
 }

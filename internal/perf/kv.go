@@ -68,6 +68,15 @@ type KVPerf struct {
 	P999us      float64 `json:"p999_us"`
 }
 
+// shape is the run shape the regression gate requires to match before
+// it compares two KV rows; "" for a ledger without the row.
+func (p *KVPerf) shape() string {
+	if p == nil {
+		return ""
+	}
+	return fmt.Sprintf("conns=%d ops/conn=%d batch=%d", p.Conns, p.OpsPerConn, p.Batch)
+}
+
 // RaiseNoFile lifts the soft fd limit to the hard one so thousand-
 // connection measurements don't trip the default 1024.
 func RaiseNoFile() {

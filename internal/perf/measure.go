@@ -98,8 +98,6 @@ func Measure(o MeasureOptions) (*Ledger, error) {
 				sec.DataMemoMisses += r.Sec.DataMemoMisses
 				sec.NodeMemoHits += r.Sec.NodeMemoHits
 				sec.NodeMemoMisses += r.Sec.NodeMemoMisses
-				sec.DefaultLineHits += r.Sec.DefaultLineHits
-				sec.DefaultLineMisses += r.Sec.DefaultLineMisses
 			}
 			if wall := time.Since(dStart).Seconds(); rep == 0 || wall < best {
 				best = wall

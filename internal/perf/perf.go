@@ -152,58 +152,60 @@ func Newest(dir string) (string, error) {
 // before the gate fails.
 const Tolerance = 0.15
 
+// Skip is one ledger row the gate did not compare, and why.
+type Skip struct {
+	Row    string
+	Reason string
+}
+
+func (s Skip) String() string { return s.Row + ": " + s.Reason }
+
 // Compare gates fresh against the pinned ledger, returning a non-nil
-// error describing every regression beyond Tolerance.
+// error describing every regression beyond Tolerance, and every row it
+// could not compare with the reason, so a gate that passes says what it
+// did not look at.
 //
 // With an equal host fingerprint, absolute ops/sec are compared — the
 // overall number and each design's. Across differing hosts absolute
 // throughput is meaningless, so the gate compares each design's
 // throughput relative to the run's geometric mean instead: a design
 // whose relative standing fell by more than Tolerance regressed no
-// matter how fast the host is.
-func Compare(pinned, fresh *Ledger) error {
+// matter how fast the host is. The KV and churn rows have no such
+// relative form, so across hosts they are skipped.
+func Compare(pinned, fresh *Ledger) ([]Skip, error) {
 	if pinned.Schema != Schema {
-		return fmt.Errorf("perf: pinned ledger has schema %d, this tool speaks %d — re-measure the ledger", pinned.Schema, Schema)
+		return nil, fmt.Errorf("perf: pinned ledger has schema %d, this tool speaks %d — re-measure the ledger", pinned.Schema, Schema)
 	}
 	var regressions []string
-	check := func(name string, old, new float64) {
-		if old > 0 && new < old*(1-Tolerance) {
+	var skipped []Skip
+	skip := func(row, format string, args ...any) {
+		skipped = append(skipped, Skip{row, fmt.Sprintf(format, args...)})
+	}
+	sameHost := pinned.fingerprintEqual(fresh)
+	hostDiffers := fmt.Sprintf("host fingerprint differs (pinned %s, %d cpu; fresh %s, %d cpu)",
+		pinned.GoVersion, pinned.CPUs, fresh.GoVersion, fresh.CPUs)
+	// gate flags a row whose fresh rate fell more than tol below the
+	// pinned one.
+	gate := func(name string, old, new, tol float64) {
+		if old > 0 && new < old*(1-tol) {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %.0f -> %.0f ops/sec (-%.1f%%)", name, old, new, 100*(1-new/old)))
 		}
 	}
-	if pinned.fingerprintEqual(fresh) {
-		check("overall", pinned.OpsPerSec, fresh.OpsPerSec)
+	for d := range pinned.Designs {
+		if _, ok := fresh.Designs[d]; !ok {
+			skip(d, "not measured in the fresh run")
+		}
+	}
+	if sameHost {
+		gate("overall", pinned.OpsPerSec, fresh.OpsPerSec, Tolerance)
 		for d, p := range pinned.Designs {
-			f, ok := fresh.Designs[d]
-			if !ok {
-				continue
-			}
-			check(d, p.OpsPerSec, f.OpsPerSec)
-		}
-		// The KV row rides the loopback network stack and a thousand
-		// goroutines, so it is noisier than the deterministic simulator
-		// cells: gate it at double tolerance, and only when the run
-		// shapes match.
-		if p, f := pinned.KV, fresh.KV; p != nil && f != nil &&
-			p.Conns == f.Conns && p.OpsPerConn == f.OpsPerConn && p.Batch == f.Batch {
-			if p.OpsPerSec > 0 && f.OpsPerSec < p.OpsPerSec*(1-2*Tolerance) {
-				regressions = append(regressions,
-					fmt.Sprintf("kv: %.0f -> %.0f ops/sec (-%.1f%%)", p.OpsPerSec, f.OpsPerSec, 100*(1-f.OpsPerSec/p.OpsPerSec)))
-			}
-		}
-		// The churn row is deterministic work but folds in compaction
-		// scheduling and sleep-based throttling, so it gets the same
-		// doubled tolerance, again only when the run shapes match.
-		if p, f := pinned.Churn, fresh.Churn; p != nil && f != nil &&
-			p.Design == f.Design && p.Capacity == f.Capacity &&
-			p.ValBytes == f.ValBytes && p.Keys == f.Keys && p.Multiple == f.Multiple {
-			if p.OpsPerSec > 0 && f.OpsPerSec < p.OpsPerSec*(1-2*Tolerance) {
-				regressions = append(regressions,
-					fmt.Sprintf("churn: %.0f -> %.0f ops/sec (-%.1f%%)", p.OpsPerSec, f.OpsPerSec, 100*(1-f.OpsPerSec/p.OpsPerSec)))
+			if f, ok := fresh.Designs[d]; ok {
+				gate(d, p.OpsPerSec, f.OpsPerSec, Tolerance)
 			}
 		}
 	} else {
+		skip("overall", "%s; designs gated relative to the geomean instead", hostDiffers)
 		// Cross-host: compare per-design throughput normalized by the
 		// run's geometric mean. The values are ratios, not ops/sec.
 		pn, fn := normalize(pinned), normalize(fresh)
@@ -214,11 +216,43 @@ func Compare(pinned, fresh *Ledger) error {
 			}
 		}
 	}
+	// The KV row rides the loopback network stack and a thousand
+	// goroutines, so it is noisier than the deterministic simulator
+	// cells: gate it at double tolerance, and only on the same host with
+	// matching run shapes. The churn row is deterministic work but folds
+	// in compaction scheduling and sleep-based throttling, so it gets the
+	// same doubled tolerance under the same condition. comparable
+	// reports whether such a row (shape "" when absent from that ledger)
+	// can be gated, recording the reason when it cannot; a row absent
+	// from both ledgers is not a skip, there is nothing to compare.
+	comparable := func(row, p, f string) bool {
+		switch {
+		case p == "" && f == "":
+		case p == "":
+			skip(row, "no pinned row")
+		case f == "":
+			skip(row, "not measured in the fresh run")
+		case !sameHost:
+			skip(row, "%s", hostDiffers)
+		case p != f:
+			skip(row, "run shape differs (pinned %s; fresh %s)", p, f)
+		default:
+			return true
+		}
+		return false
+	}
+	if comparable("kv", pinned.KV.shape(), fresh.KV.shape()) {
+		gate("kv", pinned.KV.OpsPerSec, fresh.KV.OpsPerSec, 2*Tolerance)
+	}
+	if comparable("churn", pinned.Churn.shape(), fresh.Churn.shape()) {
+		gate("churn", pinned.Churn.OpsPerSec, fresh.Churn.OpsPerSec, 2*Tolerance)
+	}
+	sort.Slice(skipped, func(i, j int) bool { return skipped[i].Row < skipped[j].Row })
 	if len(regressions) == 0 {
-		return nil
+		return skipped, nil
 	}
 	sort.Strings(regressions)
-	return fmt.Errorf("perf: throughput regressed >%d%% vs pinned ledger:\n  %s",
+	return skipped, fmt.Errorf("perf: throughput regressed >%d%% vs pinned ledger:\n  %s",
 		int(Tolerance*100), joinLines(regressions))
 }
 

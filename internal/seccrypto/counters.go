@@ -80,19 +80,25 @@ func (c *CounterLine) Encode() mem.Line {
 // DecodeCounterLine unpacks a 64-byte counter line. The all-zero line
 // decodes to the all-zero counter state, so untouched NVM reads as
 // "never encrypted" (counter value 0).
+//
+// Eight 7-bit minors fill exactly seven bytes, so each group of eight
+// is unpacked from one little-endian 64-bit load. The load starts one
+// byte early (the last group ends at the line's final byte) and that
+// byte is shifted out.
 func DecodeCounterLine(l mem.Line) CounterLine {
 	var c CounterLine
 	c.Major = binary.LittleEndian.Uint64(l[:8])
-	bitpos := 0
-	for i := range c.Minors {
-		byteIdx := 8 + bitpos/8
-		off := bitpos % 8
-		v := uint16(l[byteIdx]) >> off
-		if off > 8-MinorBits {
-			v |= uint16(l[byteIdx+1]) << (8 - off)
-		}
-		c.Minors[i] = uint8(v & MinorMax)
-		bitpos += MinorBits
+	for g := 0; g < mem.BlocksPerPage/8; g++ {
+		w := binary.LittleEndian.Uint64(l[7+7*g:]) >> 8
+		m := c.Minors[8*g : 8*g+8]
+		m[0] = uint8(w & MinorMax)
+		m[1] = uint8(w >> 7 & MinorMax)
+		m[2] = uint8(w >> 14 & MinorMax)
+		m[3] = uint8(w >> 21 & MinorMax)
+		m[4] = uint8(w >> 28 & MinorMax)
+		m[5] = uint8(w >> 35 & MinorMax)
+		m[6] = uint8(w >> 42 & MinorMax)
+		m[7] = uint8(w >> 49 & MinorMax)
 	}
 	return c
 }

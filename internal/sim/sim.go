@@ -472,8 +472,6 @@ func subSec(a, b engine.SecStats) engine.SecStats {
 	a.DataMemoMisses -= b.DataMemoMisses
 	a.NodeMemoHits -= b.NodeMemoHits
 	a.NodeMemoMisses -= b.NodeMemoMisses
-	a.DefaultLineHits -= b.DefaultLineHits
-	a.DefaultLineMisses -= b.DefaultLineMisses
 	return a
 }
 

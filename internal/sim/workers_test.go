@@ -52,6 +52,5 @@ func scrubMemo(r Result) Result {
 	r.Sec.PadCacheHits, r.Sec.PadCacheMisses = 0, 0
 	r.Sec.DataMemoHits, r.Sec.DataMemoMisses = 0, 0
 	r.Sec.NodeMemoHits, r.Sec.NodeMemoMisses = 0, 0
-	r.Sec.DefaultLineHits, r.Sec.DefaultLineMisses = 0, 0
 	return r
 }
