@@ -40,6 +40,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=10s ./internal/compress/
 	$(GO) test -fuzz=FuzzDecodeCounterLine -fuzztime=10s ./internal/seccrypto/
+	$(GO) test -fuzz=FuzzTwoSlot -fuzztime=10s ./internal/twoslot/
 	$(GO) test -fuzz=FuzzCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzFaultCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzRebootCell -fuzztime=20s ./internal/torture/

@@ -11,6 +11,7 @@ import (
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/store"
+	"ccnvm/internal/twoslot"
 )
 
 // Internal-package tests: the compaction machinery (manifest slots,
@@ -41,38 +42,38 @@ func compactDB(t testing.TB, st *store.Store) *DB {
 }
 
 func TestManifestRoundTripAndRuling(t *testing.T) {
-	rec := manifestRecord{Seq: 7, StartSeq: 123, Half: 1}
-	got, ok, err := decodeManifest(encodeManifest(rec))
-	if err != nil || !ok || got != rec {
-		t.Fatalf("round trip: %+v ok=%v err=%v", got, ok, err)
-	}
-	if _, ok, err := decodeManifest(mem.Line{}); ok || err != nil {
-		t.Fatalf("zero line: ok=%v err=%v", ok, err)
+	rec := ManifestRecord{Seq: 7, StartSeq: 123, Half: 1}
+	l := mem.Line(ManifestFormat.Slot(rec))
+	if got, st := ManifestFormat.Classify(l[:]); st != twoslot.Intact || got != rec {
+		t.Fatalf("round trip: %+v status=%v", got, st)
 	}
 	// Any damaged byte in the sealed region must read as torn, never as
 	// a different valid record.
 	for i := 0; i < 40; i++ {
-		l := encodeManifest(rec)
+		l := mem.Line(ManifestFormat.Slot(rec))
 		l[i] ^= 0x20
-		if _, ok, err := decodeManifest(l); ok || !errors.Is(err, errManifestTorn) {
-			t.Fatalf("byte %d flip decoded: ok=%v err=%v", i, ok, err)
+		if _, st := ManifestFormat.Classify(l[:]); st != twoslot.Torn {
+			t.Fatalf("byte %d flip decoded: status=%v", i, st)
+		}
+	}
+	// Generation 0 and a third half are structurally impossible: a
+	// sealed slot claiming either is damage.
+	for _, bad := range []ManifestRecord{{Seq: 0, Half: 1}, {Seq: 3, Half: 2}} {
+		if _, st := ManifestFormat.Classify(ManifestFormat.Slot(bad)); st != twoslot.Torn {
+			t.Fatalf("%+v decoded: status=%v", bad, st)
 		}
 	}
 
-	// Newest seq wins; a torn slot falls back to the survivor and is
-	// named for repair.
-	newer := manifestRecord{Seq: 8, StartSeq: 200, Half: 0}
-	ruled, torn, err := chooseManifest(encodeManifest(rec), encodeManifest(newer))
-	if err != nil || ruled != newer || torn != -1 {
-		t.Fatalf("newest-seq-wins: %+v torn=%d err=%v", ruled, torn, err)
+	// The manifest's own rule on top of the codec's: with both slots torn
+	// the layout is lost, and Open refuses rather than guess a half.
+	st := compactStore(t, 1<<16)
+	l[12] ^= 0xFF
+	for _, a := range []mem.Addr{0, mem.LineSize} {
+		if err := st.Write(a, l); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tornLine := encodeManifest(newer)
-	tornLine[12] ^= 0xFF
-	ruled, torn, err = chooseManifest(encodeManifest(rec), tornLine)
-	if err != nil || ruled != rec || torn != 1 {
-		t.Fatalf("torn fallback: %+v torn=%d err=%v", ruled, torn, err)
-	}
-	if _, _, err := chooseManifest(tornLine, tornLine); err == nil {
+	if _, err := Open(st, Options{}); err == nil {
 		t.Fatal("two torn slots accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"ccnvm/internal/mem"
 	"ccnvm/internal/store"
+	"ccnvm/internal/twoslot"
 )
 
 // ErrCompactPinned reports a pass refused because open snapshots still
@@ -18,7 +19,7 @@ var ErrCompactPinned = errors.New("kv: compaction blocked: open snapshots pin th
 // instead of one frame per original batch, which is where compaction's
 // space win beyond garbage collection comes from.
 const (
-	compactFrameOps   = 64      // max records per compacted frame
+	compactFrameOps   = 64       // max records per compacted frame
 	compactMaxPayload = 16 << 10 // max payload bytes per compacted frame
 )
 
@@ -171,7 +172,7 @@ func (db *DB) compactLocked() error {
 			}
 		}
 		hl := encodeHeader(seq+1, len(ops), len(payload))
-		sealHeader(&hl, fnv64(payload))
+		sealHeader(&hl, twoslot.Sum(payload))
 		if werr := db.st.Write(w, hl); werr != nil {
 			return fail(fmt.Errorf("kv: compaction commit write: %w", werr))
 		}
@@ -199,8 +200,10 @@ func (db *DB) compactLocked() error {
 	// knob drops exactly this write, which the break-compact-switch
 	// torture self-test proves the oracles catch.
 	if !db.sabotageDropManifest {
-		rec := manifestRecord{Seq: genBefore + 1, StartSeq: startSeq, Half: dst}
-		if err := db.st.Write(manifestSlotAddr(rec.Seq), encodeManifest(rec)); err != nil {
+		rec := ManifestRecord{Seq: genBefore + 1, StartSeq: startSeq, Half: dst}
+		var l mem.Line
+		ManifestFormat.Put(l[:], rec)
+		if err := db.st.Write(mem.Addr(ManifestFormat.Off(rec.Seq)), l); err != nil {
 			return fail(fmt.Errorf("kv: manifest commit write: %w", err))
 		}
 		if err := db.st.FlushEpoch(); err != nil {

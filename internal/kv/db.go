@@ -9,6 +9,7 @@ import (
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/store"
+	"ccnvm/internal/twoslot"
 )
 
 // ErrDBClosed reports an operation on a closed or crashed DB.
@@ -137,25 +138,21 @@ func Open(st *store.Store, o Options) (*DB, error) {
 	db.fcond = sync.NewCond(&db.fmu)
 	db.ccond = sync.NewCond(&db.mu)
 
-	l0, err := st.Read(0)
+	slots, err := db.readRange(0, int(arenaStart))
 	if err != nil {
-		return nil, fmt.Errorf("kv: manifest slot 0: %w", err)
+		return nil, fmt.Errorf("kv: manifest slots: %w", err)
 	}
-	l1, err := st.Read(mem.LineSize)
-	if err != nil {
-		return nil, fmt.Errorf("kv: manifest slot 1: %w", err)
+	v := ManifestFormat.Load(slots)
+	if v.Torn[0] && v.Torn[1] {
+		return nil, errors.New("kv: both compaction manifest slots torn")
 	}
-	rec, torn, err := chooseManifest(l0, l1)
-	if err != nil {
-		return nil, err
-	}
-	db.gen, db.active, db.startSeq = rec.Seq, rec.Half, rec.StartSeq
-	db.seq = rec.StartSeq
+	db.gen, db.active, db.startSeq = v.Rec.Seq, v.Rec.Half, v.Rec.StartSeq
+	db.seq = v.Rec.StartSeq
 	if err := db.scan(); err != nil {
 		return nil, err
 	}
 	db.appended, db.durable = db.seq, db.seq
-	if err := db.repairAndReclaim(rec, torn); err != nil {
+	if err := db.repairAndReclaim(slots); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -197,7 +194,7 @@ func (db *DB) scan() error {
 		if err != nil {
 			return fmt.Errorf("kv: log scan payload at %#x: %w", uint64(payloadStart), err)
 		}
-		if fnv64(payload) != payloadCk {
+		if twoslot.Sum(payload) != payloadCk {
 			break
 		}
 		recs, err := decodePayload(payload, count)
@@ -213,21 +210,22 @@ func (db *DB) scan() error {
 }
 
 // repairAndReclaim finishes an interrupted compaction pass at reopen:
-// re-encode the ruling manifest record over a torn slot (or zero it
-// when no commit ever ruled), then return the inactive half to the
-// all-zero state — orphan runs without a committed manifest become
-// invisible and reclaimed, a committed pass gets its reclaim completed.
-// Read-only media degradation is tolerated: the namespace still serves
-// reads, orphans stay invisible either way.
-func (db *DB) repairAndReclaim(rec manifestRecord, torn int) error {
-	if torn >= 0 {
-		var l mem.Line
-		if rec.Seq > 0 {
-			l = encodeManifest(rec)
+// the codec repairs a torn manifest slot (the ruling record re-encoded
+// over it, or zeroes when no commit ever ruled) and the repaired line is
+// written back; then the inactive half returns to the all-zero state —
+// orphan runs without a committed manifest become invisible and
+// reclaimed, a committed pass gets its reclaim completed. Read-only
+// media degradation is tolerated: the namespace still serves reads,
+// orphans stay invisible either way.
+func (db *DB) repairAndReclaim(slots []byte) error {
+	v := ManifestFormat.Repair(slots)
+	for s, torn := range v.Torn {
+		if !torn {
+			continue
 		}
-		err := db.st.Write(mem.Addr(torn)*mem.LineSize, l)
+		err := db.st.Write(mem.Addr(s)*mem.LineSize, mem.Line(slots[s*mem.LineSize:]))
 		if err != nil && !errors.Is(err, store.ErrReadOnly) {
-			return fmt.Errorf("kv: manifest slot %d repair: %w", torn, err)
+			return fmt.Errorf("kv: manifest slot %d repair: %w", s, err)
 		}
 	}
 	if err := db.reclaimHalf(1 - db.active); err != nil && !errors.Is(err, store.ErrReadOnly) {
@@ -499,7 +497,7 @@ func (db *DB) Batch(ops []Op) error {
 		}
 	}
 	hl := encodeHeader(db.seq+1, len(ops), len(payload))
-	sealHeader(&hl, fnv64(payload))
+	sealHeader(&hl, twoslot.Sum(payload))
 	if werr := db.st.Write(header, hl); werr != nil {
 		db.mu.Unlock()
 		return fmt.Errorf("kv: batch commit write: %w", werr)

@@ -20,9 +20,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"ccnvm/internal/mem"
+	"ccnvm/internal/twoslot"
 )
 
 // OpKind discriminates log records.
@@ -61,12 +61,6 @@ const (
 // errFrameEnd distinguishes "no more frames" from a malformed record
 // inside a checksummed frame (which is a corruption bug, not an end).
 var errFrameEnd = errors.New("kv: end of log")
-
-func fnv64(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
 
 // encodePayload serializes ops back-to-back. Record: kind(1),
 // keyLen(4), valLen(4), key, val.
@@ -139,10 +133,10 @@ func decodePayload(payload []byte, count int) ([]record, error) {
 	return recs, nil
 }
 
-// encodeHeader builds the frame header line.
+// encodeHeader builds the frame header line; sealHeader adds the magic
+// and checksums.
 func encodeHeader(seq uint64, count, payloadBytes int) mem.Line {
 	var l mem.Line
-	copy(l[0:8], frameMagic)
 	binary.LittleEndian.PutUint64(l[8:16], seq)
 	binary.LittleEndian.PutUint32(l[16:20], uint32(count))
 	binary.LittleEndian.PutUint32(l[20:24], uint32(payloadBytes))
@@ -150,19 +144,18 @@ func encodeHeader(seq uint64, count, payloadBytes int) mem.Line {
 	return l
 }
 
+// sealHeader patches in the payload checksum and seals the header: the
+// magic, and an FNV-64a over [0:32) at [32:40).
 func sealHeader(l *mem.Line, payloadCk uint64) {
 	binary.LittleEndian.PutUint64(l[24:32], payloadCk)
-	binary.LittleEndian.PutUint64(l[32:40], fnv64(l[0:32]))
+	twoslot.Seal(l[:], frameMagic, 32)
 }
 
 // parseHeader validates a header line and returns (seq, count,
 // payloadBytes, payloadCk). errFrameEnd means "not a frame" — the
 // normal end of the scan.
 func parseHeader(l mem.Line) (seq uint64, count, payloadBytes int, payloadCk uint64, err error) {
-	if string(l[0:8]) != frameMagic {
-		return 0, 0, 0, 0, errFrameEnd
-	}
-	if got, want := binary.LittleEndian.Uint64(l[32:40]), fnv64(l[0:32]); got != want {
+	if !twoslot.Sealed(l[:], frameMagic, 32) {
 		return 0, 0, 0, 0, errFrameEnd
 	}
 	seq = binary.LittleEndian.Uint64(l[8:16])

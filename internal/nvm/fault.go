@@ -137,6 +137,22 @@ func MixWords(old, new mem.Line, mask byte) mem.Line {
 	return out
 }
 
+// TearChunks applies a power failure to a multi-line record write in
+// flight: each 64-byte chunk c of dst becomes old's chunk with the words
+// of new's chunk that TearMask(base+c, seq) lets through, so every chunk
+// independently keeps the new bytes, reverts or mixes per word. dst may
+// alias old or new. Reports whether any chunk lost a word of new.
+func (m *FaultModel) TearChunks(dst, old, new []byte, base mem.Addr, seq uint64) bool {
+	torn := false
+	for c := 0; c < len(dst); c += mem.LineSize {
+		mask := m.TearMask(base+mem.Addr(c), seq)
+		mixed := MixWords(mem.Line(old[c:]), mem.Line(new[c:]), mask)
+		copy(dst[c:], mixed[:])
+		torn = torn || mask != 0xff
+	}
+	return torn
+}
+
 // FaultEvent records one line a power failure damaged under the fault
 // model — the harness's ground truth for the healing oracles.
 type FaultEvent struct {

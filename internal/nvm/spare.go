@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ccnvm/internal/mem"
+	"ccnvm/internal/twoslot"
 )
 
 // Finite spare-pool media management.
@@ -12,10 +13,9 @@ import (
 // With FaultModel.SpareLines > 0 the device carves an explicit spare
 // region out of the media: every stuck-line heal and every scrub
 // give-up consumes one spare line, recorded in a remap table that is
-// persisted with the same discipline as the recovery journal (PR 5):
-// two fixed slots, each a checksummed record, written alternately by
-// sequence number. A commit is one slot write; a crash mid-commit
-// leaves a torn slot whose checksum fails, so the previous record
+// persisted on the two-slot codec (internal/twoslot) shared with the
+// recovery journal and the KV compaction manifest. A commit is one slot
+// write; a crash mid-commit leaves a torn slot, so the previous record
 // rules and the interrupted remap rolls back cleanly (the line simply
 // re-presents as stuck or weak and is remapped again on the next
 // boot). Recovery validates and repairs the table before the four-step
@@ -39,8 +39,7 @@ import (
 //	off 600  FNV-64a checksum over [0,600) (8)
 //	         zero padding to 640
 const (
-	remapMagic     = "CCRT"
-	remapVersion   = 1
+	remapMagic     = "CCRT\x01" // magic and version 1
 	remapEntryLen  = 9
 	remapHeaderLen = 24
 
@@ -73,25 +72,24 @@ type RemapRecord struct {
 	Entries []RemapEntry
 }
 
-// remapChecksum is FNV-64a, matching the recovery journal's.
-func remapChecksum(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
+// RemapFormat is the remap slot on the shared two-slot codec, which owns
+// its seal, slot classification, newest-sequence-wins rule and repair.
+var RemapFormat = twoslot.Format[RemapRecord]{
+	Magic:   remapMagic,
+	SlotLen: RemapSlotLen,
+	SumOff:  remapChecksumOff,
+	Encode:  encodeRemap,
+	Decode:  decodeRemap,
+	Seq:     func(r RemapRecord) uint64 { return r.Seq },
 }
 
-// EncodeRemapRecord renders one slot. Entries beyond RemapMaxEntries
-// are a programming error (the pool is capped below that).
-func EncodeRemapRecord(r RemapRecord) []byte {
+// encodeRemap renders one record's fields. Entries beyond
+// RemapMaxEntries are a programming error (the pool is capped below
+// that).
+func encodeRemap(b []byte, r RemapRecord) {
 	if len(r.Entries) > RemapMaxEntries {
 		panic(fmt.Sprintf("nvm: remap record overflow: %d entries", len(r.Entries)))
 	}
-	b := make([]byte, RemapSlotLen)
-	copy(b[0:4], remapMagic)
-	b[4] = remapVersion
 	binary.LittleEndian.PutUint64(b[8:16], r.Seq)
 	binary.LittleEndian.PutUint16(b[16:18], uint16(len(r.Entries)))
 	binary.LittleEndian.PutUint16(b[18:20], uint16(r.Total))
@@ -102,19 +100,11 @@ func EncodeRemapRecord(r RemapRecord) []byte {
 			b[off+8] = 1
 		}
 	}
-	binary.LittleEndian.PutUint64(b[remapChecksumOff:remapChecksumOff+8], remapChecksum(b[:remapChecksumOff]))
-	return b
 }
 
-// DecodeRemapSlot parses one slot, reporting ok=false for anything
-// torn, truncated or foreign.
-func DecodeRemapSlot(b []byte) (RemapRecord, bool) {
-	if len(b) < RemapSlotLen || string(b[0:4]) != remapMagic || b[4] != remapVersion {
-		return RemapRecord{}, false
-	}
-	if binary.LittleEndian.Uint64(b[remapChecksumOff:remapChecksumOff+8]) != remapChecksum(b[:remapChecksumOff]) {
-		return RemapRecord{}, false
-	}
+// decodeRemap parses one sealed slot; an entry count above the pool
+// size is structurally impossible on a real device, so it is damage.
+func decodeRemap(b []byte) (RemapRecord, bool) {
 	r := RemapRecord{
 		Seq:   binary.LittleEndian.Uint64(b[8:16]),
 		Total: int(binary.LittleEndian.Uint16(b[18:20])),
@@ -131,58 +121,6 @@ func DecodeRemapSlot(b []byte) (RemapRecord, bool) {
 		})
 	}
 	return r, true
-}
-
-// remapSlotEmpty reports a slot that was never written (all-zero magic):
-// fresh media, as opposed to a torn record.
-func remapSlotEmpty(b []byte) bool {
-	return len(b) >= 4 && b[0] == 0 && b[1] == 0 && b[2] == 0 && b[3] == 0
-}
-
-// LoadRemapTable decodes the two-slot table. ok is true when at least
-// one slot holds an intact record (the newest by sequence number wins);
-// torn is true when a non-empty slot failed its checksum — the
-// signature of a crash mid-commit, which the previous record's rule
-// rolls back.
-func LoadRemapTable(table []byte) (rec RemapRecord, ok, torn bool) {
-	if len(table) < RemapTableLen {
-		return RemapRecord{}, false, false
-	}
-	r0, ok0 := DecodeRemapSlot(table[:RemapSlotLen])
-	r1, ok1 := DecodeRemapSlot(table[RemapSlotLen:])
-	torn = (!ok0 && !remapSlotEmpty(table[:RemapSlotLen])) ||
-		(!ok1 && !remapSlotEmpty(table[RemapSlotLen:]))
-	switch {
-	case ok0 && ok1:
-		if r1.Seq > r0.Seq {
-			return r1, true, torn
-		}
-		return r0, true, torn
-	case ok0:
-		return r0, true, torn
-	case ok1:
-		return r1, true, torn
-	}
-	return RemapRecord{}, false, torn
-}
-
-// RepairRemapTable is recovery's replay step: the winning record is
-// re-encoded over any torn slot, so the rollback is made durable and a
-// re-entered recovery sees a fully intact table. Returns the ruling
-// record and whether a torn slot was repaired.
-func RepairRemapTable(table []byte) (rec RemapRecord, ok, torn bool) {
-	rec, ok, torn = LoadRemapTable(table)
-	if !ok || !torn {
-		return rec, ok, torn
-	}
-	enc := EncodeRemapRecord(rec)
-	if _, s0 := DecodeRemapSlot(table[:RemapSlotLen]); !s0 {
-		copy(table[:RemapSlotLen], enc)
-	}
-	if _, s1 := DecodeRemapSlot(table[RemapSlotLen:]); !s1 {
-		copy(table[RemapSlotLen:], enc)
-	}
-	return rec, ok, torn
 }
 
 // SpareStats is the pool's accounting snapshot. Total == 0 means the
@@ -217,7 +155,7 @@ func (d *Device) initSparePool(total int) {
 	d.remapRefused = 0
 	d.remapTable = make([]byte, RemapTableLen)
 	d.remapPrev = nil
-	copy(d.remapTable[:RemapSlotLen], EncodeRemapRecord(RemapRecord{Total: total}))
+	RemapFormat.Put(d.remapTable, RemapRecord{Total: total})
 }
 
 // SpareStats returns the pool accounting.
@@ -285,14 +223,9 @@ func (d *Device) commitRemapRecord() {
 		return // sabotage: the spare is consumed but the record never lands
 	}
 	d.remapSeq++
-	slot := int(d.remapSeq % 2)
-	off := slot * RemapSlotLen
-	d.remapPrev = append(d.remapPrev[:0], d.remapTable[off:off+RemapSlotLen]...)
-	copy(d.remapTable[off:off+RemapSlotLen], EncodeRemapRecord(RemapRecord{
-		Seq:     d.remapSeq,
-		Total:   d.spareTotal,
-		Entries: d.remapEntries,
-	}))
+	slot := d.remapTable[RemapFormat.Off(d.remapSeq):][:RemapSlotLen]
+	d.remapPrev = append(d.remapPrev[:0], slot...)
+	RemapFormat.Put(slot, RemapRecord{Seq: d.remapSeq, Total: d.spareTotal, Entries: d.remapEntries})
 }
 
 // TearNewestRemapSlot applies power-failure tearing to the most recent
@@ -307,26 +240,13 @@ func (d *Device) TearNewestRemapSlot() bool {
 	if d.spareTotal == 0 || d.remapsBoot == 0 || d.remapPrev == nil || !d.faults.CrashAffectsWPQ() || !d.faults.TornWrites {
 		return false
 	}
-	slot := int(d.remapSeq % 2)
-	off := slot * RemapSlotLen
+	off := RemapFormat.Off(d.remapSeq)
+	slot := d.remapTable[off : off+RemapSlotLen]
 	// Pseudo-addresses past twice the device size keep the table's tear
 	// decisions out of every real line's stream (the recovery journal
 	// uses [TotalBytes, TotalBytes+384) for its own).
-	base := mem.Addr(2 * d.layout.TotalBytes())
-	torn := false
-	for c := 0; c < RemapSlotLen/64; c++ {
-		mask := d.faults.TearMask(base+mem.Addr(off+c*64), d.remapSeq)
-		if mask == 0xff {
-			continue
-		}
-		var old, new mem.Line
-		copy(old[:], d.remapPrev[c*64:c*64+64])
-		copy(new[:], d.remapTable[off+c*64:off+c*64+64])
-		mixed := MixWords(old, new, mask)
-		copy(d.remapTable[off+c*64:off+c*64+64], mixed[:])
-		torn = true
-	}
-	return torn
+	base := mem.Addr(2*d.layout.TotalBytes()) + mem.Addr(off)
+	return d.faults.TearChunks(slot, d.remapPrev, slot, base, d.remapSeq)
 }
 
 // SabotageDropRemapCommit breaks the remap-commit protocol for the
@@ -367,13 +287,13 @@ func (d *Device) restoreSparePool(table []byte) {
 	d.remapsBoot = 0
 	d.remapRefused = 0
 	d.remapPrev = nil
-	rec, ok, _ := LoadRemapTable(d.remapTable)
-	if !ok {
+	v := RemapFormat.Load(d.remapTable)
+	if !v.OK {
 		return
 	}
-	d.spareTotal = rec.Total
-	d.remapSeq = rec.Seq
-	for _, e := range rec.Entries {
+	d.spareTotal = v.Rec.Total
+	d.remapSeq = v.Rec.Seq
+	for _, e := range v.Rec.Entries {
 		d.remapIdx[e.Addr] = len(d.remapEntries)
 		d.remapEntries = append(d.remapEntries, e)
 		if e.Exempt {

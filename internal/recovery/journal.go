@@ -10,9 +10,10 @@
 // The journal is two alternating 192-byte slots. Every record carries
 // the full pass header — the committed rebuilt root and the first
 // pass's report verdicts — plus an optional pending write: the one
-// counter line whose in-place persist is in flight. Records go to slot
+// counter line whose in-place persist is in flight. The slots follow
+// the shared two-slot codec (internal/twoslot): records go to slot
 // Seq%2, so a torn record corrupts only the newest slot and the
-// previous record remains loadable; a checksum tells the two apart.
+// previous record remains loadable; the seal tells the two apart.
 // Tree-node writes are never journaled individually — they are
 // recomputable from the counters, so the header's root is enough.
 //
@@ -37,11 +38,12 @@ import (
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/nvm"
+	"ccnvm/internal/twoslot"
 )
 
 const (
-	journalMagic   = "CCRJ"
-	journalVersion = 1
+	// journalMagic is the magic "CCRJ" and the version byte (1).
+	journalMagic = "CCRJ\x01"
 	// journalSlotLen is one record slot: 176 bytes of payload, an 8-byte
 	// FNV-64a checksum, padded to three 64-byte lines.
 	journalSlotLen = 192
@@ -51,8 +53,7 @@ const (
 // Slot byte offsets. The payload is checksummed as one unit; the
 // checksum sits at the end so a record torn anywhere fails closed.
 const (
-	joMagic    = 0   // 4 bytes
-	joVersion  = 4   // 1 byte
+	joMagic    = 0   // 5 bytes: magic (4) and version (1)
 	joFlags    = 5   // 1 byte: bit0 Active, bit1 PendingValid
 	joRoot     = 6   // 1 byte: ConsistentRoot (0 "", 1 "old", 2 "new")
 	joVerdicts = 7   // 1 byte: bit0 PotentialReplay, bit1 CrashLossWindow
@@ -67,8 +68,8 @@ const (
 	joChecksum = 176 // 8 bytes over [0, 176)
 )
 
-// journalRecord is one decoded journal slot.
-type journalRecord struct {
+// JournalRecord is one decoded journal slot.
+type JournalRecord struct {
 	Active bool
 	Seq    uint64
 
@@ -93,27 +94,24 @@ type journalRecord struct {
 
 // sameHeader reports whether two records describe the same Apply pass
 // (pending entries aside) — the test for skipping a redundant jBegin.
-func sameHeader(a, b journalRecord) bool {
+func sameHeader(a, b JournalRecord) bool {
 	return a.Root == b.Root && a.ConsistentRoot == b.ConsistentRoot &&
 		a.PotentialReplay == b.PotentialReplay && a.CrashLossWindow == b.CrashLossWindow &&
 		a.Nwb == b.Nwb && a.Nretry == b.Nretry && a.Blocks == b.Blocks && a.Lines == b.Lines
 }
 
-// journalChecksum is FNV-64a; content integrity only (the journal is
-// inside the TCB's trust boundary, like the root registers, so no MAC).
-func journalChecksum(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
+// JournalFormat is the journal slot on the shared two-slot codec, which
+// owns its seal, slot classification and newest-sequence-wins rule.
+var JournalFormat = twoslot.Format[JournalRecord]{
+	Magic:   journalMagic,
+	SlotLen: journalSlotLen,
+	SumOff:  joChecksum,
+	Encode:  encodeJournal,
+	Decode:  decodeJournal,
+	Seq:     func(r JournalRecord) uint64 { return r.Seq },
 }
 
-func encodeSlot(rec journalRecord) [journalSlotLen]byte {
-	var b [journalSlotLen]byte
-	copy(b[joMagic:], journalMagic)
-	b[joVersion] = journalVersion
+func encodeJournal(b []byte, rec JournalRecord) {
 	if rec.Active {
 		b[joFlags] |= 1
 	}
@@ -140,18 +138,10 @@ func encodeSlot(rec journalRecord) [journalSlotLen]byte {
 	copy(b[joRootLine:], rec.Root[:])
 	binary.LittleEndian.PutUint64(b[joPendAddr:], uint64(rec.PendingAddr))
 	copy(b[joPendLine:], rec.PendingLine[:])
-	binary.LittleEndian.PutUint64(b[joChecksum:], journalChecksum(b[:joChecksum]))
-	return b
 }
 
-func decodeSlot(b []byte) (journalRecord, bool) {
-	if len(b) < journalSlotLen || string(b[joMagic:joMagic+4]) != journalMagic || b[joVersion] != journalVersion {
-		return journalRecord{}, false
-	}
-	if binary.LittleEndian.Uint64(b[joChecksum:]) != journalChecksum(b[:joChecksum]) {
-		return journalRecord{}, false
-	}
-	rec := journalRecord{
+func decodeJournal(b []byte) (JournalRecord, bool) {
+	rec := JournalRecord{
 		Active:          b[joFlags]&1 != 0,
 		PendingValid:    b[joFlags]&2 != 0,
 		PotentialReplay: b[joVerdicts]&1 != 0,
@@ -174,26 +164,15 @@ func decodeSlot(b []byte) (journalRecord, bool) {
 	return rec, true
 }
 
-// loadJournal returns the newest intact record. A record torn mid-write
-// fails its checksum and the previous record (the other slot) rules.
-func loadJournal(img *engine.CrashImage) (journalRecord, bool) {
+// loadJournal returns the ruling record. A record torn mid-write fails
+// its seal and the previous record (the other slot) rules; the journal
+// is never repaired in place — its next record overwrites the torn slot.
+func loadJournal(img *engine.CrashImage) (JournalRecord, bool) {
 	if len(img.RecoveryJournal) != journalLen {
-		return journalRecord{}, false
+		return JournalRecord{}, false
 	}
-	r0, ok0 := decodeSlot(img.RecoveryJournal[:journalSlotLen])
-	r1, ok1 := decodeSlot(img.RecoveryJournal[journalSlotLen:])
-	switch {
-	case ok0 && ok1:
-		if r1.Seq > r0.Seq {
-			return r1, true
-		}
-		return r0, true
-	case ok0:
-		return r0, true
-	case ok1:
-		return r1, true
-	}
-	return journalRecord{}, false
+	v := JournalFormat.Load(img.RecoveryJournal)
+	return v.Rec, v.OK
 }
 
 // ensureJournal reserves the journal region. Allocation is not a
@@ -293,31 +272,20 @@ func (w *journalWriter) tearLine(a mem.Addr, l mem.Line) {
 
 // writeSlot persists one journal-record update into slot Seq%2; false
 // means the interrupt fired.
-func (w *journalWriter) writeSlot(rec journalRecord) bool {
-	buf := encodeSlot(rec)
-	off := int(rec.Seq%2) * journalSlotLen
+func (w *journalWriter) writeSlot(rec JournalRecord) bool {
+	buf := JournalFormat.Slot(rec)
+	dst := w.img.RecoveryJournal[JournalFormat.Off(rec.Seq):][:journalSlotLen]
 	if w.strike() {
-		w.tearSlot(off, buf)
+		// A struck record update tears per 64-byte chunk, each chunk
+		// deciding its fate at a pseudo-address past the end of the
+		// layout (the journal's reserved lines live outside the
+		// data/metadata regions); no fault model drops it whole.
+		if w.itr.Faults != nil {
+			base := mem.Addr(w.img.Image.Layout.TotalBytes()) + mem.Addr(JournalFormat.Off(rec.Seq))
+			w.itr.Faults.TearChunks(dst, dst, buf, base, w.itr.Seq)
+		}
 		return false
 	}
-	copy(w.img.RecoveryJournal[off:], buf[:])
+	copy(dst, buf)
 	return true
-}
-
-// tearSlot tears a struck record update per 64-byte chunk, each chunk
-// deciding its fate at a pseudo-address past the end of the layout (the
-// journal's reserved lines live outside the data/metadata regions).
-func (w *journalWriter) tearSlot(off int, buf [journalSlotLen]byte) {
-	if w.itr.Faults == nil {
-		return // dropped whole
-	}
-	base := mem.Addr(w.img.Image.Layout.TotalBytes())
-	for c := 0; c < journalSlotLen; c += mem.LineSize {
-		var old, new mem.Line
-		copy(old[:], w.img.RecoveryJournal[off+c:])
-		copy(new[:], buf[c:])
-		mask := w.itr.Faults.TearMask(base+mem.Addr(off+c), w.itr.Seq)
-		mixed := nvm.MixWords(old, new, mask)
-		copy(w.img.RecoveryJournal[off+c:], mixed[:])
-	}
 }

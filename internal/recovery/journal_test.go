@@ -3,12 +3,12 @@ package recovery
 import (
 	"testing"
 
-	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
+	"ccnvm/internal/twoslot"
 )
 
-func sampleRecord(seq uint64, active bool) journalRecord {
-	rec := journalRecord{
+func sampleRecord(seq uint64, active bool) JournalRecord {
+	rec := JournalRecord{
 		Active:          active,
 		Seq:             seq,
 		ConsistentRoot:  "new",
@@ -31,15 +31,14 @@ func sampleRecord(seq uint64, active bool) journalRecord {
 }
 
 func TestJournalSlotRoundTrip(t *testing.T) {
-	for _, rec := range []journalRecord{
+	for _, rec := range []JournalRecord{
 		sampleRecord(3, true),
 		sampleRecord(4, false),
 		{Seq: 1, ConsistentRoot: "old"},
 		{}, // zero record must still round-trip
 	} {
-		buf := encodeSlot(rec)
-		got, ok := decodeSlot(buf[:])
-		if !ok {
+		got, st := JournalFormat.Classify(JournalFormat.Slot(rec))
+		if st != twoslot.Intact {
 			t.Fatalf("encoded record Seq=%d did not decode", rec.Seq)
 		}
 		if got != rec {
@@ -51,50 +50,17 @@ func TestJournalSlotRoundTrip(t *testing.T) {
 func TestJournalChecksumFailsClosed(t *testing.T) {
 	// A record torn anywhere — payload or checksum — must decode as
 	// invalid, never as a plausible half-record.
-	base := encodeSlot(sampleRecord(9, true))
+	base := JournalFormat.Slot(sampleRecord(9, true))
 	// Offsets cover the payload and the checksum itself; the padding past
 	// joChecksum+8 is not protected (and carries no state).
 	for _, off := range []int{joMagic, joFlags, joSeq, joRootLine, joPendLine, joChecksum, joChecksum + 7} {
-		buf := base
+		buf := append([]byte(nil), base...)
 		buf[off] ^= 0x40
-		if _, ok := decodeSlot(buf[:]); ok {
+		if _, st := JournalFormat.Classify(buf); st != twoslot.Torn {
 			t.Errorf("record with byte %d corrupted still decoded", off)
 		}
 	}
-	if _, ok := decodeSlot(base[:journalSlotLen-1]); ok {
+	if _, st := JournalFormat.Classify(base[:journalSlotLen-1]); st != twoslot.Torn {
 		t.Error("short buffer decoded")
-	}
-}
-
-func TestJournalNewestSeqWins(t *testing.T) {
-	img := &engine.CrashImage{}
-	if _, ok := loadJournal(img); ok {
-		t.Fatal("absent journal loaded")
-	}
-	ensureJournal(img)
-	if _, ok := loadJournal(img); ok {
-		t.Fatal("all-zero journal loaded a record")
-	}
-
-	// Seq 3 in slot 1, Seq 4 in slot 0: the newest intact record rules.
-	r3, r4 := sampleRecord(3, true), sampleRecord(4, false)
-	b3, b4 := encodeSlot(r3), encodeSlot(r4)
-	copy(img.RecoveryJournal[journalSlotLen:], b3[:])
-	copy(img.RecoveryJournal[:journalSlotLen], b4[:])
-	if got, ok := loadJournal(img); !ok || got.Seq != 4 {
-		t.Fatalf("loadJournal = %+v, %v; want Seq 4", got, ok)
-	}
-	if JournalActive(img) {
-		t.Fatal("inactive newest record reported active")
-	}
-
-	// Tear the newest record: the previous slot must rule again, exactly
-	// the fall-back a mid-update power failure relies on.
-	img.RecoveryJournal[joRootLine] ^= 0xff
-	if got, ok := loadJournal(img); !ok || got.Seq != 3 {
-		t.Fatalf("after tearing slot 0: loadJournal = %+v, %v; want Seq 3", got, ok)
-	}
-	if !JournalActive(img) {
-		t.Fatal("active surviving record not reported active")
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"ccnvm/internal/mem"
 	"ccnvm/internal/nvm"
 	"ccnvm/internal/seccrypto"
+	"ccnvm/internal/twoslot"
 )
 
 // TamperedBlock is a data block whose HMAC could not be matched within
@@ -209,39 +210,28 @@ func Recover(img *engine.CrashImage) *Report {
 		}
 	}
 	if hasSpares {
-		r.SparesTotal = spares.rec.Total
-		r.SparesUsed = len(spares.rec.Entries)
-		r.RemapTableTorn = spares.torn
+		r.SparesTotal = spares.Rec.Total
+		r.SparesUsed = len(spares.Rec.Entries)
+		r.RemapTableTorn = spares.AnyTorn()
 	}
 	return r
 }
 
-// spareReplay is the outcome of the pre-walk remap-table validation.
-type spareReplay struct {
-	rec  nvm.RemapRecord
-	torn bool
-}
-
 // replayRemapTable validates the finite spare pool's remap table before
-// the four-step walk, mirroring the two-slot journal rules: both slots
-// are decoded, the newest intact record wins, and a torn slot — a remap
-// commit caught in flight — is repaired from the winner, making the
-// rollback durable. The mappings a rolled-back commit loses need no
-// further replay: the affected lines re-present as stuck or weak and
+// the four-step walk with the shared two-slot codec: the newest intact
+// record wins, and a torn slot — a remap commit caught in flight — is
+// repaired, making the rollback durable. No intact record at all reads
+// as an unformatted table: the pool restarts empty and runtime remaps
+// re-commit as lines fail. The mappings a rolled-back commit loses need
+// no further replay: the affected lines re-present as stuck or weak and
 // are remapped again in service, which is why a lost mapping is never
 // misread as tampering. Images without a table (the unlimited legacy
-// pool) return ok=false and are untouched.
-func replayRemapTable(img *engine.CrashImage) (spareReplay, bool) {
+// pool) return false and are untouched.
+func replayRemapTable(img *engine.CrashImage) (twoslot.Verdict[nvm.RemapRecord], bool) {
 	if img == nil || img.Image == nil || len(img.Image.RemapTable) == 0 {
-		return spareReplay{}, false
+		return twoslot.Verdict[nvm.RemapRecord]{}, false
 	}
-	rec, ok, torn := nvm.RepairRemapTable(img.Image.RemapTable)
-	if !ok {
-		// No intact record at all: treat the table as unformatted. The
-		// pool restarts empty; runtime remaps re-commit as lines fail.
-		return spareReplay{torn: torn}, true
-	}
-	return spareReplay{rec: rec, torn: torn}, true
+	return nvm.RemapFormat.Repair(img.Image.RemapTable), true
 }
 
 // resumeRecover rebuilds a Report for an image whose recovery was
@@ -254,7 +244,7 @@ func replayRemapTable(img *engine.CrashImage) (spareReplay, bool) {
 // remaining write plan falls out of the walk; the media sections are
 // recomputed because Apply's completed writes legitimately heal stuck
 // metadata lines.
-func resumeRecover(img *engine.CrashImage, rec journalRecord) *Report {
+func resumeRecover(img *engine.CrashImage, rec JournalRecord) *Report {
 	r := &Report{Design: img.Design, Resumed: true}
 	cry := seccrypto.MustEngine(img.Keys)
 	var pend *pendingWrite
@@ -652,7 +642,7 @@ func ApplyInterrupted(img *engine.CrashImage, rep *Report, itr *Interrupt) (Reco
 	if haveJournal {
 		seq = loaded.Seq
 	}
-	hdr := journalRecord{
+	hdr := JournalRecord{
 		Active:          true,
 		Root:            root,
 		ConsistentRoot:  rep.ConsistentRoot,
@@ -713,8 +703,7 @@ func ApplyInterrupted(img *engine.CrashImage, rep *Report, itr *Interrupt) (Reco
 	if w.strike() {
 		return Recovered{}, false
 	}
-	buf := encodeSlot(rec)
-	copy(img.RecoveryJournal[int(rec.Seq%2)*journalSlotLen:], buf[:])
+	JournalFormat.Put(img.RecoveryJournal[JournalFormat.Off(rec.Seq):], rec)
 	img.TCB = engine.TCB{RootNew: root, RootOld: root, Nwb: 0}
 	return Recovered{TCB: img.TCB}, true
 }

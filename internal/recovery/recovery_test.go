@@ -514,3 +514,24 @@ func cloneImage(img *engine.CrashImage) *engine.CrashImage {
 	cp.TCB = img.TCB.CloneExt()
 	return &cp
 }
+
+// TestRecoverReportsTornFirstRemapCommit: a crash that tore the first
+// remap commit into the never-written slot, leaving its magic word zero,
+// is reported as a torn table and repaired, so a second recovery sees a
+// clean one.
+func TestRecoverReportsTornFirstRemapCommit(t *testing.T) {
+	img := crashImage(t, "ccnvm", &nvm.FaultModel{Seed: 5, SpareLines: 3})
+	v := nvm.RemapFormat.Load(img.Image.RemapTable)
+	if !v.OK || v.AnyTorn() || v.Rec.Seq != 0 {
+		t.Fatalf("setup: %+v, want the untouched format record", v)
+	}
+	rec := v.Rec
+	next := nvm.RemapFormat.Slot(nvm.RemapRecord{Seq: 1, Total: rec.Total, Entries: []nvm.RemapEntry{{Addr: mem.LineSize}}})
+	copy(img.Image.RemapTable[nvm.RemapSlotLen+8:nvm.RemapSlotLen+mem.LineSize], next[8:mem.LineSize])
+	if rep := recovery.Recover(img); !rep.RemapTableTorn || rep.SparesUsed != 0 || rep.SparesTotal != rec.Total {
+		t.Fatalf("first recovery: torn=%v used=%d total=%d", rep.RemapTableTorn, rep.SparesUsed, rep.SparesTotal)
+	}
+	if rep := recovery.Recover(img); rep.RemapTableTorn {
+		t.Fatal("second recovery still sees a torn remap table")
+	}
+}

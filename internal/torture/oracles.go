@@ -603,13 +603,14 @@ func checkRemapConsistency(c *Context) string {
 	if c.Cell.Spares <= 0 {
 		return ""
 	}
-	rec, ok, torn := nvm.LoadRemapTable(c.Img.Image.RemapTable)
-	if !ok {
+	v := nvm.RemapFormat.Load(c.Img.Image.RemapTable)
+	if !v.OK {
 		return "finite-pool crash image carries no decodable remap table"
 	}
-	if torn {
+	if v.AnyTorn() {
 		return "recovery left a torn remap slot unrepaired"
 	}
+	rec := v.Rec
 	if rec.Total != c.SpareStats.Total {
 		return fmt.Sprintf("remap table claims a pool of %d spares, device was provisioned with %d",
 			rec.Total, c.SpareStats.Total)
@@ -665,11 +666,11 @@ func checkSpareAccounting(c *Context) string {
 	if s.Refused > 0 && s.Used != s.Total {
 		return fmt.Sprintf("%d remaps refused while %d spares remained", s.Refused, s.Remaining())
 	}
-	rec, ok, _ := nvm.LoadRemapTable(c.Img.Image.RemapTable)
-	if !ok {
+	v := nvm.RemapFormat.Load(c.Img.Image.RemapTable)
+	if !v.OK {
 		return "" // remap-consistency owns the undecodable case
 	}
-	if wn := len(rec.Entries); wn != s.Used && !(c.Cell.Torn && wn == s.Used-1) {
+	if wn := len(v.Rec.Entries); wn != s.Used && !(c.Cell.Torn && wn == s.Used-1) {
 		return fmt.Sprintf("persisted table records %d remaps, device consumed %d spares (only a torn commit may roll back, and only one record)",
 			wn, s.Used)
 	}

@@ -137,13 +137,14 @@ func TestSpareCellEvidence(t *testing.T) {
 	if s.Used == s.Total && ctx.HealthAtCrash != store.HealthReadOnly {
 		t.Fatalf("pool exhausted but controller reports %v", ctx.HealthAtCrash)
 	}
-	rec, ok, torn := nvm.LoadRemapTable(ctx.Img.Image.RemapTable)
-	if !ok {
+	v := nvm.RemapFormat.Load(ctx.Img.Image.RemapTable)
+	if !v.OK {
 		t.Fatal("crash image carries no decodable remap table")
 	}
-	if torn {
+	if v.AnyTorn() {
 		t.Fatal("recovery left the table torn")
 	}
+	rec := v.Rec
 	if rec.Total != 1 || len(rec.Entries) != s.Used {
 		t.Fatalf("persisted table (total=%d used=%d) disagrees with the device (total=%d used=%d)",
 			rec.Total, len(rec.Entries), s.Total, s.Used)
@@ -180,10 +181,11 @@ func TestRemapCommitRecoveryEveryChunk(t *testing.T) {
 		}
 	}
 	crash := eng.Crash()
-	rec, ok, torn := nvm.LoadRemapTable(crash.Image.RemapTable)
-	if !ok || torn {
-		t.Fatalf("crash image table: ok=%v torn=%v", ok, torn)
+	v := nvm.RemapFormat.Load(crash.Image.RemapTable)
+	if !v.OK || v.AnyTorn() {
+		t.Fatalf("crash image table: %+v", v)
 	}
+	rec := v.Rec
 	n := len(rec.Entries)
 	if rec.Seq == 0 || n == 0 || n >= rec.Total {
 		t.Fatalf("setup produced no tearable commit: seq=%d used=%d total=%d", rec.Seq, n, rec.Total)
@@ -210,7 +212,7 @@ func TestRemapCommitRecoveryEveryChunk(t *testing.T) {
 		Total:   rec.Total,
 		Entries: append(append([]nvm.RemapEntry(nil), rec.Entries...), nvm.RemapEntry{Addr: newAddr, Exempt: true}),
 	}
-	enc := nvm.EncodeRemapRecord(next)
+	enc := nvm.RemapFormat.Slot(next)
 	off := int((rec.Seq+1)%2) * nvm.RemapSlotLen
 
 	chunks := nvm.RemapSlotLen / 64
@@ -240,8 +242,8 @@ func TestRemapCommitRecoveryEveryChunk(t *testing.T) {
 			t.Fatalf("chunk %d: RemapTableTorn=%v, want %v", k, rep.RemapTableTorn, wantTorn)
 		}
 		// (c) Recovery repaired the table in place; re-entry converges.
-		if _, ok2, torn2 := nvm.LoadRemapTable(img.Image.RemapTable); !ok2 || torn2 {
-			t.Fatalf("chunk %d: table not repaired (ok=%v torn=%v)", k, ok2, torn2)
+		if v := nvm.RemapFormat.Load(img.Image.RemapTable); !v.OK || v.AnyTorn() {
+			t.Fatalf("chunk %d: table not repaired (%+v)", k, v)
 		}
 		rep2 := recovery.Recover(img)
 		if rep2.SparesUsed != want || rep2.RemapTableTorn {
